@@ -182,53 +182,38 @@ AscentDistances IPDistanceQuery::GetDistances(const QuerySource& source,
   return out;
 }
 
-double IPDistanceQuery::LocalDistance(const QuerySource& s,
+double IPDistanceQuery::LocalDistance(const IndoorPoint& s,
                                       const IndoorPoint& t) const {
-  const Venue& venue = tree_.venue();
-  double best = kInfDistance;
-
-  std::vector<DijkstraSource> sources;
-  if (s.door != kInvalidId) {
-    sources.push_back({s.door, 0.0});
-    if (venue.DoorTouches(s.door, t.partition)) {
-      best = venue.DistanceToDoor(t, s.door);
-    }
-  } else {
-    if (s.point->partition == t.partition) {
-      best = venue.IntraPartitionDistance(t.partition, s.point->position,
-                                          t.position);
-    }
-    for (DoorId u : venue.DoorsOf(s.point->partition)) {
-      sources.push_back({u, venue.DistanceToDoor(*s.point, u)});
-    }
-  }
-
-  const Span<const DoorId> targets = venue.DoorsOf(t.partition);
-  dijkstra_.Start(sources);
-  dijkstra_.RunToTargets(targets);
-  for (DoorId dt : targets) {
-    if (!dijkstra_.Settled(dt)) continue;
-    best = std::min(best,
-                    dijkstra_.DistanceTo(dt) + venue.DistanceToDoor(t, dt));
-  }
-  return best;
+  double d = kInfDistance;
+  LocalDistanceMulti(s, Span<const IndoorPoint>(&t, 1), &d);
+  return d;
 }
 
 void IPDistanceQuery::LocalDistanceMulti(const IndoorPoint& s,
                                          Span<const IndoorPoint> targets,
                                          double* out) const {
   const Venue& venue = tree_.venue();
-  // Seed exactly like the point branch of LocalDistance, once.
-  std::vector<DijkstraSource> sources;
+  const NodeId leaf_id = tree_.LeafOfPartition(s.partition);
+  const TreeNode& leaf = tree_.node(leaf_id);
+  const size_t m = leaf.access_doors.size();
+  // Access-door term: d(s, a) for every access door a, computed once.
+  SeedLeaf(QuerySource::Point(s), leaf, local_s_seed_, local_back_);
+  // Leaf term: one restricted search, seeded once and resumed per target.
+  local_sources_.clear();
   for (DoorId u : venue.DoorsOf(s.partition)) {
-    sources.push_back({u, venue.DistanceToDoor(s, u)});
+    local_sources_.push_back({u, venue.DistanceToDoor(s, u)});
   }
-  dijkstra_.Start(Span<const DijkstraSource>(sources.data(), sources.size()));
+  dijkstra_.StartRestricted(local_sources_, tree_.PartitionLeaves(), leaf_id);
   for (size_t k = 0; k < targets.size(); ++k) {
     const IndoorPoint& t = targets[k];
+    VIPTREE_DCHECK(tree_.LeafOfPartition(t.partition) == leaf_id);
     double best = kInfDistance;
     if (s.partition == t.partition) {
       best = venue.IntraPartitionDistance(t.partition, s.position, t.position);
+    }
+    SeedLeaf(QuerySource::Point(t), leaf, local_t_seed_, local_back_);
+    for (size_t c = 0; c < m; ++c) {
+      best = std::min(best, local_s_seed_[c] + local_t_seed_[c]);
     }
     // Resume the shared search: each call extends the same deterministic
     // pop sequence, so DistanceTo(dt) matches what a fresh run stopped at
@@ -250,7 +235,7 @@ double IPDistanceQuery::Distance(const IndoorPoint& s,
                                  const IndoorPoint& t) const {
   const NodeId ls = tree_.LeafOfPartition(s.partition);
   const NodeId lt = tree_.LeafOfPartition(t.partition);
-  if (ls == lt) return LocalDistance(QuerySource::Point(s), t);
+  if (ls == lt) return LocalDistance(s, t);
 
   const NodeId lca = tree_.Lca(ls, lt);
   const NodeId ns = ChildToward(tree_, lca, ls);
@@ -284,7 +269,7 @@ double IPDistanceQuery::DistanceWithAscent(const IndoorPoint& s,
   const NodeId ls = tree_.LeafOfPartition(s.partition);
   VIPTREE_DCHECK(!ascent.chain.empty() && ascent.chain[0] == ls);
   const NodeId lt = tree_.LeafOfPartition(t.partition);
-  if (ls == lt) return LocalDistance(QuerySource::Point(s), t);
+  if (ls == lt) return LocalDistance(s, t);
 
   const NodeId lca = tree_.Lca(ls, lt);
   const NodeId ns = ChildToward(tree_, lca, ls);
@@ -339,10 +324,22 @@ double IPDistanceQuery::DoorDistanceUncached(DoorId s, DoorId t) const {
   for (const auto& sl : s_leaves) {
     for (const auto& tl : t_leaves) {
       if (sl.leaf == tl.leaf) {
-        // Same leaf: Dijkstra on the D2D graph (§3.1.1).
-        dijkstra_.Start(s);
+        // Same leaf (§3.1.1): the better of the best route through an
+        // access door a, min_a M[s][a] + M[t][a] off the leaf matrix, and
+        // a Dijkstra restricted to the leaf's own partitions (see
+        // LocalDistanceMulti).
+        const TreeNode& leaf = tree_.node(sl.leaf);
+        const Span<const float> s_row = leaf.dist.row(sl.row);
+        const Span<const float> t_row = leaf.dist.row(tl.row);
+        double best = kInfDistance;
+        for (size_t c = 0; c < leaf.access_doors.size(); ++c) {
+          best = std::min(best, static_cast<double>(s_row[c]) + t_row[c]);
+        }
+        const DijkstraSource source{s, 0.0};
+        dijkstra_.StartRestricted(Span<const DijkstraSource>(&source, 1),
+                                  tree_.PartitionLeaves(), sl.leaf);
         dijkstra_.RunToTargets(Span<const DoorId>(&t, 1));
-        return dijkstra_.DistanceTo(t);
+        return std::min(best, dijkstra_.DistanceTo(t));
       }
     }
   }
@@ -549,9 +546,9 @@ void VIPDistanceQuery::DistanceMulti(Span<const IndoorPoint> sources,
                      ChildToward(tree, lca, lt), bits_of(sources[k])});
   }
 
-  // Same-leaf pairs dominate skewed batches (each one is a multi-source
-  // leaf Dijkstra, ~100x a cross-leaf matrix walk), so queries sharing an
-  // exact source point share one incremental Dijkstra run.
+  // Same-leaf pairs cost a leaf-restricted Dijkstra each (several times a
+  // cross-leaf matrix walk), so queries sharing an exact source point share
+  // one incremental run.
   if (!local_groups.empty()) {
     std::vector<IndoorPoint> local_targets;
     std::vector<double> local_out;
@@ -633,7 +630,7 @@ double VIPDistanceQuery::Distance(const IndoorPoint& s,
   const IPTree& tree = vip_.base();
   const NodeId ls = tree.LeafOfPartition(s.partition);
   const NodeId lt = tree.LeafOfPartition(t.partition);
-  if (ls == lt) return ip_.LocalDistance(QuerySource::Point(s), t);
+  if (ls == lt) return ip_.LocalDistance(s, t);
 
   const NodeId lca = tree.Lca(ls, lt);
   const NodeId ns = ChildToward(tree, lca, ls);

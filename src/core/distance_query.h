@@ -101,16 +101,21 @@ class IPDistanceQuery {
                             const AscentDistances& ascent,
                             const IndoorPoint& t) const;
 
-  // Shared same-leaf fallback: Dijkstra on the D2D graph.
-  double LocalDistance(const QuerySource& s, const IndoorPoint& t) const;
+  // Same-leaf distance (§3.1.1): the one-target case of LocalDistanceMulti.
+  double LocalDistance(const IndoorPoint& s, const IndoorPoint& t) const;
 
-  // Same-leaf distances from one source point to many targets over a
-  // single multi-source Dijkstra. The settled distance of a door depends
-  // only on the seeding (the heap pops in a deterministic order and
-  // resuming via RunToTargets extends that same sequence), so every
-  // out[k] is bit-identical to LocalDistance(Point(s), targets[k]) while
-  // the dominant cost — the graph expansion — is paid once per source
-  // instead of once per query. Every target must share the source's leaf.
+  // Same-leaf distances from one source point to many targets; every
+  // target must share the source's leaf. A shortest route either stays on
+  // edges through the leaf's own partitions, or it first leaves the leaf at
+  // one of the leaf's access doors a. So out[k] is the smaller of
+  //   * min over a of d(s, a) + d(a, t), read from the leaf seeds of s and
+  //     of t (SeedLeaf; the graph is symmetric), and
+  //   * one incremental Dijkstra restricted to the leaf's partitions
+  //     (DijkstraEngine::StartRestricted), which settles leaf doors only.
+  // The settled distance of a door depends only on the seeding (the heap
+  // pops in a deterministic order and resuming via RunToTargets extends
+  // that same sequence), so out[k] does not depend on the other targets:
+  // LocalDistance is this call with one target, bit for bit.
   void LocalDistanceMulti(const IndoorPoint& s, Span<const IndoorPoint> targets,
                           double* out) const;
 
@@ -150,6 +155,10 @@ class IPDistanceQuery {
   mutable std::vector<int32_t> row_idx_, col_idx_;      // LCA joins
   mutable std::vector<int32_t> step_rows_, step_cols_;  // ascent steps
   mutable std::vector<double> s_ascent_, t_ascent_;     // DoorDistance
+  // Same-leaf scratch (LocalDistanceMulti).
+  mutable std::vector<DijkstraSource> local_sources_;
+  mutable std::vector<double> local_s_seed_, local_t_seed_;
+  mutable std::vector<PathBack> local_back_;
   // Kernel accumulators of the ascent step (common/kernels.h): per-column
   // best distance and the child door (index) that produced it.
   mutable std::vector<double> step_dist_;

@@ -154,6 +154,11 @@ class IPTree {
 
   // The leaf containing partition `p`.
   NodeId LeafOfPartition(PartitionId p) const { return leaf_of_partition_[p]; }
+  // The whole partition -> leaf array (what a leaf-restricted Dijkstra,
+  // DijkstraEngine::StartRestricted, filters edges by).
+  Span<const NodeId> PartitionLeaves() const {
+    return {leaf_of_partition_.data(), leaf_of_partition_.size()};
+  }
 
   // The (at most two) leaves containing door `d`, with the door's row index
   // in each leaf's distance matrix.

@@ -36,15 +36,15 @@ void KnnQuery::LocalObjectDistances(const IndoorPoint& q, NodeId leaf,
                                     std::vector<double>& out) const {
   const Venue& venue = tree_.venue();
   const Span<const ObjectId> objs = objects_.ObjectsInLeaf(leaf);
-  out.assign(objs.size(), kInfDistance);
-  // One multi-source Dijkstra from q covers every object of the leaf; the
-  // search runs on the full D2D graph so routes leaving the leaf are exact.
+  // `out` arrives holding the access-door term (routes that leave the
+  // leaf); one multi-source Dijkstra restricted to the leaf's partitions
+  // covers the routes that stay inside it.
   local_sources_.clear();
   for (DoorId u : venue.DoorsOf(q.partition)) {
     local_sources_.push_back({u, venue.DistanceToDoor(q, u)});
   }
   DijkstraEngine& engine = local_dijkstra_;
-  engine.Start(local_sources_);
+  engine.StartRestricted(local_sources_, tree_.PartitionLeaves(), leaf);
   local_targets_.clear();
   for (ObjectId o : objs) {
     for (DoorId d : venue.DoorsOf(objects_.object(o).partition)) {
@@ -59,8 +59,8 @@ void KnnQuery::LocalObjectDistances(const IndoorPoint& q, NodeId leaf,
   for (size_t i = 0; i < objs.size(); ++i) {
     const IndoorPoint& obj = objects_.object(objs[i]);
     if (obj.partition == q.partition) {
-      out[i] = venue.IntraPartitionDistance(q.partition, q.position,
-                                            obj.position);
+      out[i] = std::min(out[i], venue.IntraPartitionDistance(
+                                    q.partition, q.position, obj.position));
     }
     for (DoorId d : venue.DoorsOf(obj.partition)) {
       if (!engine.Settled(d)) continue;
@@ -227,14 +227,11 @@ std::vector<ObjectResult> KnnQuery::Search(
     // Leaf: exact object distances.
     const Span<const ObjectId> objs = objects_.ObjectsInLeaf(n);
     if (objs.empty()) continue;
-    if (n == q_leaf) {
-      std::vector<double> dists;
-      LocalObjectDistances(q, n, dists);
-      for (size_t i = 0; i < objs.size(); ++i) offer(objs[i], dists[i]);
-      continue;
-    }
     // One contiguous distance row per access door (see ObjectIndex layout):
-    // column-outer order keeps the kernel scanning sequential rows.
+    // column-outer order keeps the kernel scanning sequential rows. In q's
+    // own leaf this is the access-door term of the exact same-leaf
+    // distance, and LocalObjectDistances folds in the routes that stay
+    // inside the leaf.
     const std::vector<double>& q_to_ad = ensure_ad_dist(n);
     leaf_best.assign(objs.size(), kInfDistance);
     for (size_t col = 0; col < node.access_doors.size(); ++col) {
@@ -247,6 +244,7 @@ std::vector<ObjectResult> KnnQuery::Search(
                           objects_.DoorDistances(n, col).data(), q_to_door,
                           objs.size());
     }
+    if (n == q_leaf) LocalObjectDistances(q, n, leaf_best);
     if (collect_all) {
       // Range mode: batch-filter the leaf against the radius instead of
       // offering objects one by one.

@@ -111,7 +111,10 @@ class KnnQuery {
       const Filters* filters = nullptr, SearchStats* stats = nullptr,
       const AscentDistances* precomputed = nullptr) const;
 
-  // Exact distances from q to the objects of q's own leaf (one Dijkstra).
+  // Exact distances from q to the objects of q's own leaf. `out` must hold
+  // the access-door term on entry (min over access doors a of d(q, a) +
+  // d(a, object), the other-leaf scan); this folds in the routes that stay
+  // inside the leaf with one Dijkstra restricted to the leaf's partitions.
   void LocalObjectDistances(const IndoorPoint& q, NodeId leaf,
                             std::vector<double>& out) const;
 

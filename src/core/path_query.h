@@ -39,6 +39,12 @@ class IPPathQuery {
   friend class VIPPathQuery;
 
   IndoorPath CrossLeafPath(const QuerySource& s, const QuerySource& t) const;
+  // Same-leaf path: a Dijkstra over the whole D2D graph. Unlike the
+  // same-leaf distance (IPDistanceQuery::LocalDistanceMulti), which bounds
+  // routes that leave the leaf by the access-door matrix term and searches
+  // only the leaf, a path needs the door sequence of routes that leave and
+  // re-enter the leaf too, so this is the one same-leaf query left on the
+  // full graph.
   IndoorPath LocalPath(const QuerySource& s, const QuerySource& t) const;
 
   // Appends the doors strictly between x and y on their shortest path,

@@ -13,7 +13,8 @@ DijkstraEngine::DijkstraEngine(const D2DGraph& graph)
       parent_(graph.NumVertices(), kInvalidId),
       parent_via_(graph.NumVertices(), kInvalidId),
       settled_(graph.NumVertices(), 0),
-      epoch_mark_(graph.NumVertices(), 0) {}
+      epoch_mark_(graph.NumVertices(), 0),
+      target_mark_(graph.NumVertices(), 0) {}
 
 void DijkstraEngine::Reach(DoorId d, double dist, DoorId parent,
                            PartitionId via) {
@@ -30,8 +31,11 @@ void DijkstraEngine::Reach(DoorId d, double dist, DoorId parent,
   }
 }
 
-void DijkstraEngine::Start(Span<const DijkstraSource> sources) {
-  ++epoch_;
+void DijkstraEngine::Seed(Span<const DijkstraSource> sources) {
+  if (++epoch_ == 0) {  // wrapped: clear stale stamps once
+    std::fill(epoch_mark_.begin(), epoch_mark_.end(), 0);
+    epoch_ = 1;
+  }
   settled_count_ = 0;
   // priority_queue has no clear(); rebuild it empty.
   heap_ = decltype(heap_)();
@@ -42,7 +46,22 @@ void DijkstraEngine::Start(Span<const DijkstraSource> sources) {
   }
 }
 
-SettledDoor DijkstraEngine::SettleNext() {
+void DijkstraEngine::Start(Span<const DijkstraSource> sources) {
+  partition_group_ = nullptr;
+  Seed(sources);
+}
+
+void DijkstraEngine::StartRestricted(Span<const DijkstraSource> sources,
+                                     Span<const int32_t> partition_group,
+                                     int32_t group) {
+  VIPTREE_DCHECK(!partition_group.empty());  // null data means unrestricted
+  partition_group_ = partition_group.data();
+  group_ = group;
+  Seed(sources);
+}
+
+template <bool kRestricted>
+SettledDoor DijkstraEngine::SettleNextImpl() {
   while (!heap_.empty()) {
     const auto [d, u] = heap_.top();
     heap_.pop();
@@ -51,6 +70,9 @@ SettledDoor DijkstraEngine::SettleNext() {
     settled_[u] = 1;
     ++settled_count_;
     for (const D2DEdge& e : graph_.EdgesOf(u)) {
+      if constexpr (kRestricted) {
+        if (partition_group_[e.via] != group_) continue;
+      }
       if (epoch_mark_[e.to] == epoch_ && settled_[e.to]) continue;
       Reach(e.to, d + e.weight, u, e.via);
     }
@@ -59,22 +81,40 @@ SettledDoor DijkstraEngine::SettleNext() {
   return SettledDoor{kInvalidId, kInfDistance};
 }
 
+SettledDoor DijkstraEngine::SettleNext() {
+  return partition_group_ != nullptr ? SettleNextImpl<true>()
+                                     : SettleNextImpl<false>();
+}
+
+template <bool kRestricted>
+void DijkstraEngine::RunToMarkedTargets(size_t wanted) {
+  while (wanted > 0) {
+    const DoorId u = SettleNextImpl<kRestricted>().door;
+    if (u == kInvalidId) break;
+    if (target_mark_[u] == target_epoch_) --wanted;
+  }
+}
+
 size_t DijkstraEngine::RunToTargets(Span<const DoorId> targets) {
+  if (++target_epoch_ == 0) {  // wrapped: clear stale stamps once
+    std::fill(target_mark_.begin(), target_mark_.end(), 0);
+    target_epoch_ = 1;
+  }
+  // Mark each distinct unsettled target; every settled door is settled
+  // once, so it decrements `wanted` at most once.
   size_t wanted = 0;
   for (DoorId t : targets) {
-    if (!Settled(t)) ++wanted;
+    if (target_mark_[t] == target_epoch_ || Settled(t)) continue;
+    target_mark_[t] = target_epoch_;
+    ++wanted;
   }
-  size_t reached = targets.size() - wanted;
-  while (wanted > 0) {
-    const SettledDoor s = SettleNext();
-    if (s.door == kInvalidId) break;
-    // Linear membership check is fine: target sets are small (the doors of
-    // one node / partition).
-    if (std::find(targets.begin(), targets.end(), s.door) != targets.end()) {
-      --wanted;
-      ++reached;
-    }
+  if (partition_group_ != nullptr) {
+    RunToMarkedTargets<true>(wanted);
+  } else {
+    RunToMarkedTargets<false>(wanted);
   }
+  size_t reached = 0;
+  for (DoorId t : targets) reached += Settled(t) ? 1 : 0;
   return reached;
 }
 

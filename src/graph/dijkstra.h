@@ -7,6 +7,12 @@
 // Start() then SettleNext() -- because the DistAw kNN/range algorithms need
 // to examine doors in increasing distance order and stop early.
 //
+// StartRestricted() begins a search confined to the edges through one group
+// of partitions (the same-leaf queries of core/ pass the tree's
+// partition -> leaf array and a leaf), so it settles only that group's
+// doors. Its edge loop is a separate template instantiation: the
+// unrestricted loop that index construction runs carries no extra branch.
+//
 // Not thread-safe; use one engine per thread.
 
 #ifndef VIPTREE_GRAPH_DIJKSTRA_H_
@@ -55,12 +61,20 @@ class DijkstraEngine {
     Start(Span<const DijkstraSource>(&s, 1));
   }
 
+  // Like Start, but the search only walks edges whose `via` partition p has
+  // partition_group[p] == group, i.e. shortest routes that stay inside the
+  // group. `partition_group` (one entry per partition of the graph's venue)
+  // must outlive the search.
+  void StartRestricted(Span<const DijkstraSource> sources,
+                       Span<const int32_t> partition_group, int32_t group);
+
   // Settles and returns the next-closest door, or a door with
   // id == kInvalidId when the reachable space is exhausted.
   SettledDoor SettleNext();
 
   // Runs until all doors in `targets` are settled (or the graph is
-  // exhausted). Returns the number of targets actually reached.
+  // exhausted). Returns the number of targets actually reached (a target
+  // listed twice counts twice).
   size_t RunToTargets(Span<const DoorId> targets);
 
   // Runs until the next door to settle is farther than `radius`.
@@ -93,6 +107,11 @@ class DijkstraEngine {
 
  private:
   void Reach(DoorId d, double dist, DoorId parent, PartitionId via);
+  void Seed(Span<const DijkstraSource> sources);
+  template <bool kRestricted>
+  SettledDoor SettleNextImpl();
+  template <bool kRestricted>
+  void RunToMarkedTargets(size_t wanted);
 
   const D2DGraph& graph_;
   std::vector<double> dist_;
@@ -102,6 +121,13 @@ class DijkstraEngine {
   std::vector<uint32_t> epoch_mark_;
   uint32_t epoch_ = 0;
   size_t settled_count_ = 0;
+  // RunToTargets' target set, stamped per call so membership is O(1).
+  std::vector<uint32_t> target_mark_;
+  uint32_t target_epoch_ = 0;
+  // The StartRestricted filter; partition_group_ == nullptr for a full
+  // search.
+  const int32_t* partition_group_ = nullptr;
+  int32_t group_ = kInvalidId;
 
   using HeapEntry = std::pair<double, DoorId>;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>,

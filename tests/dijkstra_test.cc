@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ip_tree.h"
+#include "ground_truth.h"
 #include "paper_example.h"
 #include "common/span.h"
 
@@ -9,6 +11,7 @@ namespace viptree {
 namespace {
 
 using testing::D;
+using testing::P;
 
 class DijkstraPaperTest : public ::testing::Test {
  protected:
@@ -103,6 +106,96 @@ TEST_F(DijkstraPaperTest, ParentViaReportsTraversedPartition) {
   EXPECT_DOUBLE_EQ(engine.DistanceTo(D(20)), 4.0);
   EXPECT_EQ(engine.ParentOf(D(20)), D(15));
   EXPECT_EQ(engine.ParentVia(D(20)), testing::P(13));
+}
+
+TEST_F(DijkstraPaperTest, RunToTargetsStopsOnceEveryDistinctTargetSettles) {
+  DijkstraEngine engine(example_.graph);
+  engine.Start(D(1));
+  // A target listed twice counts twice and does not keep the search going.
+  const std::vector<DoorId> targets = {D(2), D(3), D(2)};
+  EXPECT_EQ(engine.RunToTargets(targets), 3u);
+  const size_t settled = engine.NumSettledInSearch();
+  EXPECT_LT(settled, example_.graph.NumVertices());
+  // Resuming with targets that are already settled settles nothing more.
+  EXPECT_EQ(engine.RunToTargets(targets), 3u);
+  EXPECT_EQ(engine.NumSettledInSearch(), settled);
+}
+
+// The same-leaf queries of core/ search one leaf only: from d2 in the
+// paper's leaf N1 = {P1..P4}, a restricted search settles N1's doors and
+// nothing else, and in-leaf routes keep their full-graph lengths.
+TEST_F(DijkstraPaperTest, RestrictedSearchSettlesOnlyTheLeafsDoors) {
+  const IPTree tree = IPTree::Build(
+      example_.venue, example_.graph,
+      {.min_degree = 2, .forced_leaf_assignment = example_.leaf_assignment});
+  const NodeId n1 = tree.LeafOfPartition(P(1));
+  const TreeNode& leaf = tree.node(n1);
+  DijkstraEngine engine(example_.graph);
+  const DijkstraSource source{D(2), 0.0};
+  engine.StartRestricted(Span<const DijkstraSource>(&source, 1),
+                         tree.PartitionLeaves(), n1);
+  engine.RunAll();
+  EXPECT_LE(engine.NumSettledInSearch(), leaf.doors.size());
+  for (DoorId d = 0; d < static_cast<DoorId>(example_.graph.NumVertices());
+       ++d) {
+    if (engine.Settled(d)) {
+      EXPECT_GE(IPTree::IndexOf(leaf.doors, d), 0) << "door d" << d + 1;
+    }
+  }
+  EXPECT_DOUBLE_EQ(engine.DistanceTo(D(1)), 2.0);
+  EXPECT_DOUBLE_EQ(engine.DistanceTo(D(6)), 7.0);  // d2 -> d3 -> d5 -> d6
+  EXPECT_EQ(engine.ParentVia(D(6)), P(4));
+  EXPECT_FALSE(engine.Settled(D(7)));  // only reachable through P5 (N2)
+
+  // RunToTargets resumes the restricted search: a target outside the leaf
+  // stays unreached and the search stays inside the leaf.
+  engine.StartRestricted(Span<const DijkstraSource>(&source, 1),
+                         tree.PartitionLeaves(), n1);
+  const std::vector<DoorId> targets = {D(5), D(10)};
+  EXPECT_EQ(engine.RunToTargets(targets), 1u);
+  EXPECT_DOUBLE_EQ(engine.DistanceTo(D(5)), 5.0);
+  EXPECT_LE(engine.NumSettledInSearch(), leaf.doors.size());
+}
+
+// Unrestricted searches are untouched by the restricted variant: a search
+// restricted to a group holding every partition walks every edge and
+// reproduces Start's settle order, distances and parents bit for bit, and
+// Start after a restricted search drops the filter.
+TEST(DijkstraTest, UnrestrictedSearchIsBitIdenticalToFullRestriction) {
+  for (uint64_t seed : {3u, 11u, 29u}) {
+    const Venue venue = testing::RandomSynthVenue(seed);
+    const D2DGraph graph(venue);
+    const std::vector<int32_t> one_group(venue.NumPartitions(), 0);
+    DijkstraEngine full(graph);
+    DijkstraEngine reused(graph);
+    for (DoorId s = 0; s < static_cast<DoorId>(graph.NumVertices());
+         s += 7) {
+      const DijkstraSource source{s, 0.5};
+      full.Start(Span<const DijkstraSource>(&source, 1));
+      // A leftover restricted search to a group no partition is in.
+      reused.StartRestricted(Span<const DijkstraSource>(&source, 1),
+                             one_group, 1);
+      reused.RunAll();
+      ASSERT_EQ(reused.NumSettledInSearch(), 1u);
+      DijkstraEngine restricted(graph);
+      restricted.StartRestricted(Span<const DijkstraSource>(&source, 1),
+                                 one_group, 0);
+      reused.Start(Span<const DijkstraSource>(&source, 1));
+      while (true) {
+        const SettledDoor a = full.SettleNext();
+        const SettledDoor b = restricted.SettleNext();
+        const SettledDoor c = reused.SettleNext();
+        ASSERT_EQ(a.door, b.door);
+        ASSERT_EQ(a.door, c.door);
+        if (a.door == kInvalidId) break;
+        ASSERT_EQ(a.distance, b.distance);
+        ASSERT_EQ(a.distance, c.distance);
+        ASSERT_EQ(full.ParentOf(a.door), restricted.ParentOf(a.door));
+        ASSERT_EQ(full.ParentVia(a.door), reused.ParentVia(a.door));
+      }
+      ASSERT_EQ(full.NumSettledInSearch(), graph.NumVertices());
+    }
+  }
 }
 
 TEST(DijkstraTest, RunWithinStopsAtRadius) {
