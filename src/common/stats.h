@@ -43,29 +43,6 @@ struct Summary {
 // Computes a Summary; the input vector is copied and sorted internally.
 Summary Summarize(const std::vector<double>& samples);
 
-// Hit/miss/evict counters of a memoization cache (core/distance_cache.h),
-// aggregatable across shards and caches (ServiceStats sums one per venue).
-struct CacheCounters {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;
-
-  uint64_t lookups() const { return hits + misses; }
-  double hit_rate() const {
-    return lookups() == 0 ? 0.0
-                          : static_cast<double>(hits) /
-                                static_cast<double>(lookups());
-  }
-  CacheCounters& operator+=(const CacheCounters& other) {
-    hits += other.hits;
-    misses += other.misses;
-    insertions += other.insertions;
-    evictions += other.evictions;
-    return *this;
-  }
-};
-
 // Pretty-prints a byte count as B / KB / MB with two decimals.
 // Returns e.g. "612.34 MB".
 std::string HumanBytes(uint64_t bytes);

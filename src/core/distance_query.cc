@@ -28,43 +28,8 @@ NodeId ChildToward(const IPTree& tree, NodeId ancestor, NodeId leaf) {
 }  // namespace
 
 IPDistanceQuery::IPDistanceQuery(const IPTree& tree,
-                                 const DistanceQueryOptions& options,
-                                 DistanceCache* cache)
-    : tree_(tree), options_(options), cache_(cache), dijkstra_(tree.graph()) {}
-
-void IPDistanceQuery::AccessDoorIndexMap(NodeId n, NodeId m,
-                                         std::vector<int32_t>& out) const {
-  if (cache_ != nullptr &&
-      cache_->LookupIndexVector(CacheKind::kIndexMap, n, m, &out)) {
-    return;
-  }
-  const TreeNode& nn = tree_.node(n);
-  const TreeNode& mn = tree_.node(m);
-  out.resize(mn.access_doors.size());
-  for (size_t i = 0; i < mn.access_doors.size(); ++i) {
-    const int idx = IPTree::IndexOf(nn.matrix_doors, mn.access_doors[i]);
-    // An access door of m (a descendant-or-self of n) must appear in n's
-    // matrix; -1 here would silently read a wrong matrix row below.
-    VIPTREE_DCHECK(idx >= 0);
-    out[i] = idx;
-  }
-  if (cache_ != nullptr) {
-    cache_->InsertIndexVector(CacheKind::kIndexMap, n, m, out);
-  }
-}
-
-void IPDistanceQuery::DoorAscent(DoorId door, NodeId target,
-                                 std::vector<double>& out) const {
-  if (cache_ != nullptr &&
-      cache_->LookupDistVector(CacheKind::kIpDoorAscent, door, target, &out)) {
-    return;
-  }
-  AscentDistances ascent = GetDistances(QuerySource::Door(door), target);
-  out = std::move(ascent.ad_dist.back());
-  if (cache_ != nullptr) {
-    cache_->InsertDistVector(CacheKind::kIpDoorAscent, door, target, out);
-  }
-}
+                                 const DistanceQueryOptions& options)
+    : tree_(tree), options_(options), dijkstra_(tree.graph()) {}
 
 NodeId IPDistanceQuery::LeafOf(const QuerySource& source) const {
   if (source.point != nullptr) {
@@ -142,9 +107,11 @@ AscentDistances IPDistanceQuery::GetDistances(const QuerySource& source,
     std::vector<double> pdist(nc, kInfDistance);
     std::vector<PathBack> pback(nc);
     // rows: child access doors, cols: parent access doors, both positioned
-    // in the parent matrix once per level instead of per cell.
-    AccessDoorIndexMap(parent, cur, step_rows_);
-    AccessDoorIndexMap(parent, parent, step_cols_);
+    // in the parent matrix.
+    const Span<const int32_t> step_rows =
+        tree_.AccessDoorIndexMap(parent, cur);
+    const Span<const int32_t> step_cols =
+        tree_.AccessDoorIndexMap(parent, parent);
     // Row-outer kernel form of the min-plus step: one gather per child
     // door over its parent-matrix row, folded into per-column accumulators
     // with the source door recorded on strict improvement. Ascending-b
@@ -156,8 +123,8 @@ AscentDistances IPDistanceQuery::GetDistances(const QuerySource& source,
       if (cdist[b] == kInfDistance) continue;  // inf + cell never improves
       kernels::MinPlusGatherArgF32(
           step_dist_.data(), step_src_.data(), static_cast<int32_t>(b),
-          pnode.dist.row(static_cast<size_t>(step_rows_[b])).data(),
-          step_cols_.data(), cdist[b], nc);
+          pnode.dist.row(static_cast<size_t>(step_rows[b])).data(),
+          step_cols.data(), cdist[b], nc);
     }
     for (size_t c = 0; c < nc; ++c) {
       const DoorId a = pnode.access_doors[c];
@@ -246,8 +213,8 @@ double IPDistanceQuery::Distance(const IndoorPoint& s,
   const TreeNode& lca_node = tree_.node(lca);
   const TreeNode& ns_node = tree_.node(ns);
   const TreeNode& nt_node = tree_.node(nt);
-  AccessDoorIndexMap(lca, ns, row_idx_);
-  AccessDoorIndexMap(lca, nt, col_idx_);
+  const Span<const int32_t> row_idx = tree_.AccessDoorIndexMap(lca, ns);
+  const Span<const int32_t> col_idx = tree_.AccessDoorIndexMap(lca, nt);
   // One kernel join per source door: min over j of
   // (s[i] + lca_cell) + t[j], keeping the historical association.
   const std::vector<double>& sd = as.ad_dist.back();
@@ -256,8 +223,8 @@ double IPDistanceQuery::Distance(const IndoorPoint& s,
   for (size_t i = 0; i < ns_node.access_doors.size(); ++i) {
     if (sd[i] == kInfDistance) continue;
     const double cand = kernels::JoinMinIndexedF32(
-        sd[i], lca_node.dist.row(static_cast<size_t>(row_idx_[i])).data(),
-        col_idx_.data(), td.data(), nt_node.access_doors.size());
+        sd[i], lca_node.dist.row(static_cast<size_t>(row_idx[i])).data(),
+        col_idx.data(), td.data(), nt_node.access_doors.size());
     if (cand < best) best = cand;
   }
   return best;
@@ -287,14 +254,14 @@ double IPDistanceQuery::DistanceWithAscent(const IndoorPoint& s,
   const TreeNode& lca_node = tree_.node(lca);
   const TreeNode& ns_node = tree_.node(ns);
   const TreeNode& nt_node = tree_.node(nt);
-  AccessDoorIndexMap(lca, ns, row_idx_);
-  AccessDoorIndexMap(lca, nt, col_idx_);
+  const Span<const int32_t> row_idx = tree_.AccessDoorIndexMap(lca, ns);
+  const Span<const int32_t> col_idx = tree_.AccessDoorIndexMap(lca, nt);
   double best = kInfDistance;
   for (size_t i = 0; i < ns_node.access_doors.size(); ++i) {
     if (sd[i] == kInfDistance) continue;
     const double cand = kernels::JoinMinIndexedF32(
-        sd[i], lca_node.dist.row(static_cast<size_t>(row_idx_[i])).data(),
-        col_idx_.data(), td.data(), nt_node.access_doors.size());
+        sd[i], lca_node.dist.row(static_cast<size_t>(row_idx[i])).data(),
+        col_idx.data(), td.data(), nt_node.access_doors.size());
     if (cand < best) best = cand;
   }
   return best;
@@ -302,23 +269,6 @@ double IPDistanceQuery::DistanceWithAscent(const IndoorPoint& s,
 
 double IPDistanceQuery::DoorDistance(DoorId s, DoorId t) const {
   if (s == t) return 0.0;
-  // The (s, t) key is kept ordered: the join sums associate differently for
-  // (t, s), so a symmetry-normalized key could differ from the direct
-  // computation in the last ulp and break cache-on/off bit-identity.
-  if (cache_ != nullptr) {
-    double cached;
-    if (cache_->LookupScalar(CacheKind::kIpDoorPair, s, t, &cached)) {
-      return cached;
-    }
-  }
-  const double d = DoorDistanceUncached(s, t);
-  if (cache_ != nullptr) {
-    cache_->InsertScalar(CacheKind::kIpDoorPair, s, t, d);
-  }
-  return d;
-}
-
-double IPDistanceQuery::DoorDistanceUncached(DoorId s, DoorId t) const {
   const auto s_leaves = tree_.LeavesOfDoor(s);
   const auto t_leaves = tree_.LeavesOfDoor(t);
   for (const auto& sl : s_leaves) {
@@ -348,20 +298,21 @@ double IPDistanceQuery::DoorDistanceUncached(DoorId s, DoorId t) const {
   const NodeId lca = tree_.Lca(ls, lt);
   const NodeId ns = ChildToward(tree_, lca, ls);
   const NodeId nt = ChildToward(tree_, lca, lt);
-  DoorAscent(s, ns, s_ascent_);
-  DoorAscent(t, nt, t_ascent_);
+  const AscentDistances as = GetDistances(QuerySource::Door(s), ns);
+  const AscentDistances at = GetDistances(QuerySource::Door(t), nt);
+  const std::vector<double>& sd = as.ad_dist.back();
+  const std::vector<double>& td = at.ad_dist.back();
   const TreeNode& lca_node = tree_.node(lca);
   const TreeNode& ns_node = tree_.node(ns);
   const TreeNode& nt_node = tree_.node(nt);
-  AccessDoorIndexMap(lca, ns, row_idx_);
-  AccessDoorIndexMap(lca, nt, col_idx_);
+  const Span<const int32_t> row_idx = tree_.AccessDoorIndexMap(lca, ns);
+  const Span<const int32_t> col_idx = tree_.AccessDoorIndexMap(lca, nt);
   double best = kInfDistance;
   for (size_t i = 0; i < ns_node.access_doors.size(); ++i) {
-    if (s_ascent_[i] == kInfDistance) continue;
+    if (sd[i] == kInfDistance) continue;
     const double cand = kernels::JoinMinIndexedF32(
-        s_ascent_[i],
-        lca_node.dist.row(static_cast<size_t>(row_idx_[i])).data(),
-        col_idx_.data(), t_ascent_.data(), nt_node.access_doors.size());
+        sd[i], lca_node.dist.row(static_cast<size_t>(row_idx[i])).data(),
+        col_idx.data(), td.data(), nt_node.access_doors.size());
     if (cand < best) best = cand;
   }
   return best;
@@ -372,12 +323,8 @@ double IPDistanceQuery::DoorDistanceUncached(DoorId s, DoorId t) const {
 // ---------------------------------------------------------------------------
 
 VIPDistanceQuery::VIPDistanceQuery(const VIPTree& tree,
-                                   const DistanceQueryOptions& options,
-                                   DistanceCache* cache)
-    : vip_(tree),
-      options_(options),
-      cache_(cache),
-      ip_(tree.base(), options, cache) {}
+                                   const DistanceQueryOptions& options)
+    : vip_(tree), options_(options), ip_(tree.base(), options) {}
 
 void VIPDistanceQuery::DistancesToNodeAd(const QuerySource& source,
                                          NodeId node,
@@ -476,8 +423,8 @@ void VIPDistanceQuery::DistanceViaLcaMulti(const double* sdist, NodeId lca,
   const size_t ni = ns_node.access_doors.size();
   const size_t nj = nt_node.access_doors.size();
   const size_t num_targets = targets.size();
-  AccessDoorIndexMap(lca, ns, row_idx_);
-  AccessDoorIndexMap(lca, nt, col_idx_);
+  const Span<const int32_t> row_idx = tree.AccessDoorIndexMap(lca, ns);
+  const Span<const int32_t> col_idx = tree.AccessDoorIndexMap(lca, nt);
 
   // Source-side fold: joined_[j] = min over finite i of sdist[i] +
   // lca_cell(i, j), keeping the sequential join's sum association with the
@@ -489,8 +436,8 @@ void VIPDistanceQuery::DistanceViaLcaMulti(const double* sdist, NodeId lca,
     if (sdist[i] == kInfDistance) continue;
     kernels::MinPlusGatherF32(
         joined_.data(),
-        lca_node.dist.row(static_cast<size_t>(row_idx_[i])).data(),
-        col_idx_.data(), sdist[i], nj);
+        lca_node.dist.row(static_cast<size_t>(row_idx[i])).data(),
+        col_idx.data(), sdist[i], nj);
   }
 
   // Per-target descents, stacked row-major for one batched reduce.
@@ -641,15 +588,15 @@ double VIPDistanceQuery::Distance(const IndoorPoint& s,
   const TreeNode& lca_node = tree.node(lca);
   const TreeNode& ns_node = tree.node(ns);
   const TreeNode& nt_node = tree.node(nt);
-  AccessDoorIndexMap(lca, ns, row_idx_);
-  AccessDoorIndexMap(lca, nt, col_idx_);
+  const Span<const int32_t> row_idx = tree.AccessDoorIndexMap(lca, ns);
+  const Span<const int32_t> col_idx = tree.AccessDoorIndexMap(lca, nt);
   double best = kInfDistance;
   for (size_t i = 0; i < ns_node.access_doors.size(); ++i) {
     if (sdist_[i] == kInfDistance) continue;
     const double cand = kernels::JoinMinIndexedF32(
         sdist_[i],
-        lca_node.dist.row(static_cast<size_t>(row_idx_[i])).data(),
-        col_idx_.data(), tdist_.data(), nt_node.access_doors.size());
+        lca_node.dist.row(static_cast<size_t>(row_idx[i])).data(),
+        col_idx.data(), tdist_.data(), nt_node.access_doors.size());
     if (cand < best) best = cand;
   }
   return best;
@@ -657,23 +604,6 @@ double VIPDistanceQuery::Distance(const IndoorPoint& s,
 
 double VIPDistanceQuery::DoorDistance(DoorId s, DoorId t) const {
   if (s == t) return 0.0;
-  // Separate kind from the IP pair cache: the VIP join reads float ExtDist
-  // cells where the IP ascent sums doubles, so the two variants' results
-  // may differ in the last ulp and must never share an entry.
-  if (cache_ != nullptr) {
-    double cached;
-    if (cache_->LookupScalar(CacheKind::kVipDoorPair, s, t, &cached)) {
-      return cached;
-    }
-  }
-  const double d = DoorDistanceUncached(s, t);
-  if (cache_ != nullptr) {
-    cache_->InsertScalar(CacheKind::kVipDoorPair, s, t, d);
-  }
-  return d;
-}
-
-double VIPDistanceQuery::DoorDistanceUncached(DoorId s, DoorId t) const {
   const IPTree& tree = vip_.base();
   const auto s_leaves = tree.LeavesOfDoor(s);
   const auto t_leaves = tree.LeavesOfDoor(t);
@@ -690,15 +620,15 @@ double VIPDistanceQuery::DoorDistanceUncached(DoorId s, DoorId t) const {
   const TreeNode& lca_node = tree.node(lca);
   const TreeNode& ns_node = tree.node(ns);
   const TreeNode& nt_node = tree.node(nt);
-  AccessDoorIndexMap(lca, ns, row_idx_);
-  AccessDoorIndexMap(lca, nt, col_idx_);
+  const Span<const int32_t> row_idx = tree.AccessDoorIndexMap(lca, ns);
+  const Span<const int32_t> col_idx = tree.AccessDoorIndexMap(lca, nt);
   double best = kInfDistance;
   for (size_t i = 0; i < ns_node.access_doors.size(); ++i) {
     if (sdist_[i] == kInfDistance) continue;
     const double cand = kernels::JoinMinIndexedF32(
         sdist_[i],
-        lca_node.dist.row(static_cast<size_t>(row_idx_[i])).data(),
-        col_idx_.data(), tdist_.data(), nt_node.access_doors.size());
+        lca_node.dist.row(static_cast<size_t>(row_idx[i])).data(),
+        col_idx.data(), tdist_.data(), nt_node.access_doors.size());
     if (cand < best) best = cand;
   }
   return best;

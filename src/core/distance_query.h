@@ -22,7 +22,6 @@
 
 #include <vector>
 
-#include "core/distance_cache.h"
 #include "core/ip_tree.h"
 #include "core/vip_tree.h"
 #include "graph/dijkstra.h"
@@ -73,15 +72,8 @@ struct MultiDistanceStats {
 
 class IPDistanceQuery {
  public:
-  // `cache` (optional, may be shared across engines — it is internally
-  // thread-safe) memoizes door-pair results, door ascent vectors and
-  // access-door index maps. It is a separate parameter rather than a
-  // DistanceQueryOptions field because the options struct is serialized
-  // into snapshots (VenueBundle::Save). Cache-on and cache-off answers are
-  // bit-identical; see core/distance_cache.h.
   explicit IPDistanceQuery(const IPTree& tree,
-                           const DistanceQueryOptions& options = {},
-                           DistanceCache* cache = nullptr);
+                           const DistanceQueryOptions& options = {});
 
   // Algorithm 3.
   double Distance(const IndoorPoint& s, const IndoorPoint& t) const;
@@ -127,34 +119,17 @@ class IPDistanceQuery {
   // The leaf a query source belongs to.
   NodeId LeafOf(const QuerySource& source) const;
 
-  // out[i] = position of node(m).access_doors[i] in node(n).matrix_doors.
-  // This is the index triple every LCA join / ascent step / kNN bound
-  // derivation recomputes with per-cell binary searches; every position is
-  // checked >= 0 (a miss would otherwise silently index row -1 of the
-  // matrix). Memoized under CacheKind::kIndexMap when a cache is attached.
-  void AccessDoorIndexMap(NodeId n, NodeId m, std::vector<int32_t>& out) const;
-
   const IPTree& tree() const { return tree_; }
-  DistanceCache* distance_cache() const { return cache_; }
 
  private:
   friend class IPPathQuery;
   friend class VIPPathQuery;
 
-  // dist(door -> each access door of `target`), i.e. the last row of
-  // GetDistances(Door(door), target); memoized under kIpDoorAscent.
-  void DoorAscent(DoorId door, NodeId target, std::vector<double>& out) const;
-  double DoorDistanceUncached(DoorId s, DoorId t) const;
-
   const IPTree& tree_;
   DistanceQueryOptions options_;
-  DistanceCache* cache_ = nullptr;
   // Per-engine scratch, never shared state: mutable so const query methods
   // stay const while reusing the arrays (see the thread-safety contract).
   mutable DijkstraEngine dijkstra_;
-  mutable std::vector<int32_t> row_idx_, col_idx_;      // LCA joins
-  mutable std::vector<int32_t> step_rows_, step_cols_;  // ascent steps
-  mutable std::vector<double> s_ascent_, t_ascent_;     // DoorDistance
   // Same-leaf scratch (LocalDistanceMulti).
   mutable std::vector<DijkstraSource> local_sources_;
   mutable std::vector<double> local_s_seed_, local_t_seed_;
@@ -167,13 +142,8 @@ class IPDistanceQuery {
 
 class VIPDistanceQuery {
  public:
-  // `cache` as in IPDistanceQuery; it is also forwarded to the embedded
-  // IP fallback engine. IP and VIP door-pair results are memoized under
-  // distinct kinds (the materialized float matrices can differ from the
-  // iterative ascent in the last ulp), so one cache may safely serve both.
   explicit VIPDistanceQuery(const VIPTree& tree,
-                            const DistanceQueryOptions& options = {},
-                            DistanceCache* cache = nullptr);
+                            const DistanceQueryOptions& options = {});
 
   double Distance(const IndoorPoint& s, const IndoorPoint& t) const;
   double DoorDistance(DoorId s, DoorId t) const;
@@ -207,19 +177,10 @@ class VIPDistanceQuery {
                      Span<const IndoorPoint> targets, double* out,
                      MultiDistanceStats* stats = nullptr) const;
 
-  // See IPDistanceQuery::AccessDoorIndexMap (the VIP tree shares the base
-  // IP tree's node matrices, so the map is identical).
-  void AccessDoorIndexMap(NodeId n, NodeId m, std::vector<int32_t>& out) const {
-    ip_.AccessDoorIndexMap(n, m, out);
-  }
-
   const VIPTree& tree() const { return vip_; }
-  DistanceCache* distance_cache() const { return cache_; }
 
  private:
   friend class VIPPathQuery;
-
-  double DoorDistanceUncached(DoorId s, DoorId t) const;
 
   // Batched tail of DistanceMulti for one (shared source descent, lca,
   // ns, nt) bucket: folds the LCA join rows over `sdist` once, stacks the
@@ -230,9 +191,7 @@ class VIPDistanceQuery {
 
   const VIPTree& vip_;
   DistanceQueryOptions options_;
-  DistanceCache* cache_ = nullptr;
   IPDistanceQuery ip_;  // same-leaf fallback + seeding helpers
-  mutable std::vector<int32_t> row_idx_, col_idx_;
   mutable std::vector<double> sdist_, tdist_;
   mutable std::vector<PathBack> sback_, tback_;
   // Coalesced-path scratch (DistanceMulti and helpers).

@@ -1,6 +1,7 @@
 #include "core/ip_tree.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
@@ -133,6 +134,7 @@ std::optional<std::string> IPTree::ValidateParts(const Venue& venue,
   if (parts.nodes[parts.root].parent != kInvalidId) {
     return "tree root has a parent";
   }
+  if (auto error = DeriveIndexMaps(parts.nodes, nullptr)) return error;
   if (parts.leaf_of_partition.size() != num_partitions) {
     return "leaf_of_partition has the wrong size";
   }
@@ -202,7 +204,59 @@ IPTree IPTree::FromValidatedParts(const Venue& venue, const D2DGraph& graph,
   tree.is_access_door_ = std::move(parts.is_access_door);
   tree.superior_offsets_ = std::move(parts.superior_offsets);
   tree.superior_doors_ = std::move(parts.superior_doors);
+  tree.BuildIndexMaps();
   return tree;
+}
+
+std::optional<std::string> IPTree::DeriveIndexMaps(
+    const std::vector<TreeNode>& nodes, IndexMaps* maps) {
+  IndexMaps local;
+  IndexMaps& out = maps != nullptr ? *maps : local;
+  out.offsets.assign(1, 0);
+  out.in_parent.clear();
+  out.in_self.clear();
+  auto sorted = [](const std::vector<DoorId>& doors) {
+    return std::adjacent_find(doors.begin(), doors.end(),
+                              std::greater_equal<DoorId>()) == doors.end();
+  };
+  for (const TreeNode& node : nodes) {
+    auto fail = [&node](const char* what) {
+      return "tree node " + std::to_string(node.id) + what;
+    };
+    // Every position below is a binary search, which is only sound over
+    // strictly ascending lists.
+    if (!sorted(node.doors) || !sorted(node.access_doors) ||
+        !sorted(node.matrix_doors)) {
+      return fail(" has an unsorted door list");
+    }
+    for (DoorId a : node.access_doors) {
+      int in_parent = -1;
+      if (node.parent != kInvalidId) {
+        in_parent = IndexOf(nodes[node.parent].matrix_doors, a);
+        if (in_parent < 0) {
+          return fail(" has an access door missing from its parent matrix");
+        }
+      }
+      int in_self = -1;
+      if (!node.is_leaf()) {
+        in_self = IndexOf(node.matrix_doors, a);
+        if (in_self < 0) {
+          return fail(" has an access door missing from its own matrix");
+        }
+      }
+      out.in_parent.push_back(in_parent);
+      out.in_self.push_back(in_self);
+    }
+    out.offsets.push_back(static_cast<uint32_t>(out.in_parent.size()));
+  }
+  return std::nullopt;
+}
+
+void IPTree::BuildIndexMaps() {
+  const std::optional<std::string> error =
+      DeriveIndexMaps(nodes_, &index_maps_);
+  VIPTREE_CHECK_MSG(!error.has_value(),
+                    error.has_value() ? error->c_str() : "");
 }
 
 IPTree::Parts IPTree::ToParts() const {
@@ -308,6 +362,9 @@ uint64_t IPTree::MemoryBytes() const {
   bytes += is_access_door_.MemoryBytes();
   bytes += superior_offsets_.MemoryBytes();
   bytes += superior_doors_.MemoryBytes();
+  bytes += index_maps_.offsets.size() * sizeof(uint32_t);
+  bytes += index_maps_.in_parent.size() * sizeof(int32_t);
+  bytes += index_maps_.in_self.size() * sizeof(int32_t);
   return bytes;
 }
 

@@ -31,11 +31,12 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
+#include "common/span.h"
+#include "common/storage.h"
 #include "core/matrix.h"
 #include "graph/d2d_graph.h"
 #include "model/venue.h"
-#include "common/span.h"
-#include "common/storage.h"
 
 namespace viptree {
 
@@ -119,9 +120,10 @@ class IPTree {
   using ValidationLevel = viptree::ValidationLevel;
 
   // Returns an error description if `parts` is structurally inconsistent
-  // with the venue/graph (sizes, id ranges, matrix shapes), std::nullopt if
-  // it passes. Semantic validity (the distances being correct) is protected
-  // by the snapshot checksums, not re-derived here.
+  // with the venue/graph (sizes, id ranges, matrix shapes, unsorted door
+  // lists, an access door missing from its parent's or its own matrix),
+  // std::nullopt if it passes. Semantic validity (the distances being
+  // correct) is protected by the snapshot checksums, not re-derived here.
   static std::optional<std::string> ValidateParts(
       const Venue& venue, const Parts& parts,
       ValidationLevel level = ValidationLevel::kFull);
@@ -195,6 +197,24 @@ class IPTree {
   DoorId LeafMatrixNextHop(const TreeNode& leaf, DoorId door,
                            DoorId access_door) const;
 
+  // Element i is the position of node(m).access_doors[i] in
+  // node(n).matrix_doors, where n is non-leaf and m is n itself or a child
+  // of n: the row/column
+  // positions every LCA join, ascent step and kNN bound reads the node
+  // matrices through (Algorithms 2, 3 and 5). Derived once per tree (not
+  // serialized), so this is a span read; a call outside that contract
+  // aborts rather than indexing a wrong matrix row.
+  Span<const int32_t> AccessDoorIndexMap(NodeId n, NodeId m) const {
+    const uint32_t begin = index_maps_.offsets[m];
+    const size_t size = index_maps_.offsets[m + 1] - begin;
+    if (m == n) {
+      VIPTREE_CHECK(!nodes_[n].is_leaf());
+      return {index_maps_.in_self.data() + begin, size};
+    }
+    VIPTREE_CHECK(nodes_[m].parent == n);
+    return {index_maps_.in_parent.data() + begin, size};
+  }
+
   // Index of `d` within `doors` (binary search); -1 if absent.
   static int IndexOf(Span<const DoorId> doors, DoorId d);
 
@@ -219,6 +239,24 @@ class IPTree {
   friend class VIPTree;  // takes ownership in VIPTree::Extend
   IPTree() = default;
 
+  // Backing arrays of AccessDoorIndexMap: CSR over nodes with |AD(n)|
+  // entries per node. in_parent holds positions in the parent's
+  // matrix_doors, in_self positions in the node's own (-1 where that
+  // matrix does not exist: above the root, and for leaves).
+  struct IndexMaps {
+    std::vector<uint32_t> offsets;
+    std::vector<int32_t> in_parent;
+    std::vector<int32_t> in_self;
+  };
+  // Derives the maps of `nodes` into `maps` (nullptr: check only). Returns
+  // an error if a door list is unsorted or an access door is missing from
+  // its parent's or its own matrix_doors; `nodes` must otherwise have
+  // passed the ValidateNode / parent-link checks.
+  static std::optional<std::string> DeriveIndexMaps(
+      const std::vector<TreeNode>& nodes, IndexMaps* maps);
+  // Derives this tree's maps; aborts on an inconsistent tree.
+  void BuildIndexMaps();
+
   const Venue* venue_ = nullptr;
   const D2DGraph* graph_ = nullptr;
   std::vector<TreeNode> nodes_;
@@ -230,6 +268,7 @@ class IPTree {
   // CSR of partition -> superior doors.
   Storage<uint32_t> superior_offsets_;
   Storage<DoorId> superior_doors_;
+  IndexMaps index_maps_;  // derived, see BuildIndexMaps
 };
 
 }  // namespace viptree

@@ -10,10 +10,10 @@
 namespace viptree {
 
 KnnQuery::KnnQuery(const IPTree& tree, const ObjectIndex& objects,
-                   const DistanceQueryOptions& options, DistanceCache* cache)
+                   const DistanceQueryOptions& options)
     : tree_(tree),
       objects_(objects),
-      query_(tree, options, cache),
+      query_(tree, options),
       local_dijkstra_(tree.graph()) {}
 
 std::vector<ObjectResult> KnnQuery::Knn(const IndoorPoint& q, size_t k,
@@ -159,11 +159,10 @@ std::vector<ObjectResult> KnnQuery::Search(
       source_node = &pnode;
       source_id = parent;
     }
-    // Row/col positions in the parent matrix, resolved once per node (and
-    // memoized across queries when a cache is attached) instead of one
-    // binary search per matrix cell.
-    query_.AccessDoorIndexMap(parent, n, bound_cols_);
-    query_.AccessDoorIndexMap(parent, source_id, bound_rows_);
+    // Row/col positions in the parent matrix.
+    const Span<const int32_t> bound_cols = tree_.AccessDoorIndexMap(parent, n);
+    const Span<const int32_t> bound_rows =
+        tree_.AccessDoorIndexMap(parent, source_id);
     const size_t nc = node.access_doors.size();
     const size_t nb = source_node->access_doors.size();
     std::vector<double> dist(nc, kInfDistance);
@@ -175,12 +174,12 @@ std::vector<ObjectResult> KnnQuery::Search(
       if (add == kInfDistance) continue;  // inf + cell never improves
       if (b + 1 < nb) {
         kernels::PrefetchRead(
-            pnode.dist.row(static_cast<size_t>(bound_rows_[b + 1])).data());
+            pnode.dist.row(static_cast<size_t>(bound_rows[b + 1])).data());
       }
       kernels::MinPlusGatherF32(
           dist.data(),
-          pnode.dist.row(static_cast<size_t>(bound_rows_[b])).data(),
-          bound_cols_.data(), add, nc);
+          pnode.dist.row(static_cast<size_t>(bound_rows[b])).data(),
+          bound_cols.data(), add, nc);
     }
     return ad_dist.emplace(n, std::move(dist)).first->second;
   };

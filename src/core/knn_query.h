@@ -39,12 +39,8 @@ struct SearchStats {
 
 class KnnQuery {
  public:
-  // `cache` as in IPDistanceQuery: memoizes the access-door index maps of
-  // the Lemma 8/9 bound derivation (and everything the internal distance
-  // engine caches); nullptr disables memoization.
   KnnQuery(const IPTree& tree, const ObjectIndex& objects,
-           const DistanceQueryOptions& options = {},
-           DistanceCache* cache = nullptr);
+           const DistanceQueryOptions& options = {});
 
   // The k nearest objects to q, ascending by distance.
   std::vector<ObjectResult> Knn(const IndoorPoint& q, size_t k,
@@ -127,7 +123,6 @@ class KnnQuery {
   mutable DijkstraEngine local_dijkstra_;
   mutable std::vector<DijkstraSource> local_sources_;
   mutable std::vector<DoorId> local_targets_;
-  mutable std::vector<int32_t> bound_rows_, bound_cols_;  // Lemma 8/9
 };
 
 }  // namespace viptree

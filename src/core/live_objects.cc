@@ -278,11 +278,10 @@ uint64_t LiveObjectIndex::MemoryBytes() const {
 
 SnapshotQuery::SnapshotQuery(const IPTree& tree,
                              std::shared_ptr<const ObjectSnapshot> snapshot,
-                             const DistanceQueryOptions& options,
-                             DistanceCache* cache)
+                             const DistanceQueryOptions& options)
     : snapshot_(std::move(snapshot)),
-      knn_(tree, *snapshot_->base, options, cache),
-      exact_(tree, options, cache) {
+      knn_(tree, *snapshot_->base, options),
+      exact_(tree, options) {
   VIPTREE_CHECK_MSG(snapshot_ != nullptr,
                     "SnapshotQuery over a null ObjectSnapshot");
 }

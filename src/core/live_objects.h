@@ -246,13 +246,9 @@ class LiveObjectIndex {
 // epoch.
 class SnapshotQuery {
  public:
-  // `cache` as in KnnQuery (object positions are per-snapshot state and
-  // are never cached; only immutable tree/graph legs are — see
-  // core/distance_cache.h); nullptr disables memoization.
   SnapshotQuery(const IPTree& tree,
                 std::shared_ptr<const ObjectSnapshot> snapshot,
-                const DistanceQueryOptions& options = {},
-                DistanceCache* cache = nullptr);
+                const DistanceQueryOptions& options = {});
 
   // The k nearest live objects, ascending by (distance, id).
   std::vector<ObjectResult> Knn(const IndoorPoint& q, size_t k,

@@ -31,9 +31,8 @@ NodeId CommonLeaf(const IPTree& tree, DoorId x, DoorId y) {
 }  // namespace
 
 IPPathQuery::IPPathQuery(const IPTree& tree,
-                         const DistanceQueryOptions& options,
-                         DistanceCache* cache)
-    : tree_(tree), query_(tree, options, cache) {}
+                         const DistanceQueryOptions& options)
+    : tree_(tree), query_(tree, options) {}
 
 bool IPPathQuery::Represents(DoorId x, DoorId y, NodeId n) const {
   const TreeNode& node = tree_.node(n);
@@ -200,12 +199,12 @@ IndoorPath IPPathQuery::CrossLeafPath(const QuerySource& s,
   IndoorPath path;
   size_t best_i = 0;
   size_t best_j = 0;
-  query_.AccessDoorIndexMap(lca, ns, row_idx_);
-  query_.AccessDoorIndexMap(lca, nt, col_idx_);
+  const Span<const int32_t> row_idx = tree_.AccessDoorIndexMap(lca, ns);
+  const Span<const int32_t> col_idx = tree_.AccessDoorIndexMap(lca, nt);
   for (size_t i = 0; i < ns_node.access_doors.size(); ++i) {
-    const int row = row_idx_[i];
+    const int row = row_idx[i];
     for (size_t j = 0; j < nt_node.access_doors.size(); ++j) {
-      const int col = col_idx_[j];
+      const int col = col_idx[j];
       const double cand = as.ad_dist.back()[i] + lca_node.dist.at(row, col) +
                           at.ad_dist.back()[j];
       if (cand < path.distance) {
@@ -284,11 +283,8 @@ IndoorPath IPPathQuery::DoorPath(DoorId s, DoorId t) const {
 // ---------------------------------------------------------------------------
 
 VIPPathQuery::VIPPathQuery(const VIPTree& tree,
-                           const DistanceQueryOptions& options,
-                           DistanceCache* cache)
-    : vip_(tree),
-      query_(tree, options, cache),
-      ip_path_(tree.base(), options, cache) {}
+                           const DistanceQueryOptions& options)
+    : vip_(tree), query_(tree, options), ip_path_(tree.base(), options) {}
 
 void VIPPathQuery::WalkToAncestorAd(DoorId x, NodeId ancestor, size_t col,
                                     std::vector<DoorId>& out) const {
@@ -344,12 +340,12 @@ IndoorPath VIPPathQuery::CrossLeafPath(const QuerySource& s,
   const TreeNode& nt_node = tree.node(nt);
   IndoorPath path;
   size_t best_i = 0, best_j = 0;
-  query_.AccessDoorIndexMap(lca, ns, row_idx_);
-  query_.AccessDoorIndexMap(lca, nt, col_idx_);
+  const Span<const int32_t> row_idx = tree.AccessDoorIndexMap(lca, ns);
+  const Span<const int32_t> col_idx = tree.AccessDoorIndexMap(lca, nt);
   for (size_t i = 0; i < ns_node.access_doors.size(); ++i) {
-    const int row = row_idx_[i];
+    const int row = row_idx[i];
     for (size_t j = 0; j < nt_node.access_doors.size(); ++j) {
-      const int col = col_idx_[j];
+      const int col = col_idx[j];
       const double cand =
           sdist[i] + lca_node.dist.at(row, col) + tdist[j];
       if (cand < path.distance) {

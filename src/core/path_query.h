@@ -26,11 +26,8 @@ struct IndoorPath {
 
 class IPPathQuery {
  public:
-  // `cache` as in IPDistanceQuery (forwarded to the internal engine);
-  // nullptr disables memoization.
   explicit IPPathQuery(const IPTree& tree,
-                       const DistanceQueryOptions& options = {},
-                       DistanceCache* cache = nullptr);
+                       const DistanceQueryOptions& options = {});
 
   IndoorPath Path(const IndoorPoint& s, const IndoorPoint& t) const;
   IndoorPath DoorPath(DoorId s, DoorId t) const;
@@ -66,14 +63,12 @@ class IPPathQuery {
 
   const IPTree& tree_;
   IPDistanceQuery query_;
-  mutable std::vector<int32_t> row_idx_, col_idx_;  // CrossLeafPath join
 };
 
 class VIPPathQuery {
  public:
   explicit VIPPathQuery(const VIPTree& tree,
-                        const DistanceQueryOptions& options = {},
-                        DistanceCache* cache = nullptr);
+                        const DistanceQueryOptions& options = {});
 
   IndoorPath Path(const IndoorPoint& s, const IndoorPoint& t) const;
   IndoorPath DoorPath(DoorId s, DoorId t) const;
@@ -89,7 +84,6 @@ class VIPPathQuery {
   const VIPTree& vip_;
   VIPDistanceQuery query_;
   IPPathQuery ip_path_;  // leaf-level and fallback expansion
-  mutable std::vector<int32_t> row_idx_, col_idx_;
 };
 
 }  // namespace viptree

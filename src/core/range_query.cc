@@ -3,9 +3,8 @@
 namespace viptree {
 
 RangeQuery::RangeQuery(const IPTree& tree, const ObjectIndex& objects,
-                       const DistanceQueryOptions& options,
-                       DistanceCache* cache)
-    : knn_(tree, objects, options, cache) {}
+                       const DistanceQueryOptions& options)
+    : knn_(tree, objects, options) {}
 
 std::vector<ObjectResult> RangeQuery::Range(const IndoorPoint& q,
                                             double radius,

@@ -11,10 +11,8 @@ namespace viptree {
 
 class RangeQuery {
  public:
-  // `cache` as in KnnQuery; nullptr disables memoization.
   RangeQuery(const IPTree& tree, const ObjectIndex& objects,
-             const DistanceQueryOptions& options = {},
-             DistanceCache* cache = nullptr);
+             const DistanceQueryOptions& options = {});
 
   // Objects with dist(q, o) <= radius, ascending by distance.
   std::vector<ObjectResult> Range(const IndoorPoint& q, double radius,

@@ -109,6 +109,7 @@ IPTree TreeBuilder::BuildIPTree() {
   BuildLeafMatricesAndSuperiorDoors();
   BuildNonLeafMatrices();
   RenumberNodesTraversalOrder();
+  tree_.BuildIndexMaps();
   return std::move(tree_);
 }
 

@@ -81,10 +81,8 @@ struct QueryEngine::Worker {
   std::unique_ptr<SnapshotQuery> objects;
 
   explicit Worker(const QueryEngine& engine)
-      : distance(engine.tree(), engine.bundle_->query_options(),
-                 engine.cache_.get()),
-        path(engine.tree(), engine.bundle_->query_options(),
-             engine.cache_.get()) {}
+      : distance(engine.tree(), engine.bundle_->query_options()),
+        path(engine.tree(), engine.bundle_->query_options()) {}
 
   // Pins the current object snapshot: one shared_ptr atomic load per
   // query, a SnapshotQuery rebuild only on epoch change.
@@ -94,7 +92,7 @@ struct QueryEngine::Worker {
     if (objects == nullptr || objects->snapshot_ptr() != current) {
       objects = std::make_unique<SnapshotQuery>(
           engine.tree().base(), std::move(current),
-          engine.bundle_->query_options(), engine.cache_.get());
+          engine.bundle_->query_options());
     }
     return *objects;
   }
@@ -113,17 +111,14 @@ size_t MatricesConsulted(const IPTree& tree, PartitionId s, PartitionId t) {
 }  // namespace
 
 QueryEngine::QueryEngine(VenueBundle bundle)
-    : bundle_(std::make_shared<VenueBundle>(std::move(bundle))) {
-  cache_ = bundle_->distance_cache();
-  RebuildWorker();
-}
+    : bundle_(std::make_shared<VenueBundle>(std::move(bundle))),
+      main_worker_(std::make_unique<Worker>(*this)) {}
 
 QueryEngine::QueryEngine(std::shared_ptr<const VenueBundle> bundle)
     : bundle_(std::move(bundle)) {
   VIPTREE_CHECK_MSG(bundle_ != nullptr,
                     "QueryEngine constructed over a null bundle");
-  cache_ = bundle_->distance_cache();
-  RebuildWorker();
+  main_worker_ = std::make_unique<Worker>(*this);
 }
 
 QueryEngine::QueryEngine(Venue venue, std::vector<IndoorPoint> objects,
@@ -164,24 +159,6 @@ void QueryEngine::SetObjects(
 std::optional<std::string> QueryEngine::ApplyObjectDelta(
     const ObjectDelta& delta) {
   return bundle_->live_objects().ApplyDelta(delta);
-}
-
-void QueryEngine::RebuildWorker() {
-  main_worker_ = std::make_unique<Worker>(*this);
-}
-
-void QueryEngine::EnableDistanceCache(const DistanceCacheOptions& options) {
-  DistanceCacheOptions resolved = options;
-  if (resolved.capacity == 0) {
-    resolved.capacity = AdaptiveCacheCapacity(venue().NumDoors());
-  }
-  SetDistanceCache(std::make_shared<DistanceCache>(resolved));
-}
-
-void QueryEngine::SetDistanceCache(std::shared_ptr<DistanceCache> cache) {
-  cache_ = std::move(cache);
-  // The resident worker's core engines captured the old raw pointer.
-  RebuildWorker();
 }
 
 uint64_t QueryEngine::IndexMemoryBytes() const {
@@ -284,9 +261,6 @@ BatchResult QueryEngine::RunBatch(Span<const Query> queries,
     ServiceOptions service_options;
     service_options.num_threads = threads;
     service_options.queue_capacity = n;  // nothing is ever rejected
-    // The transient workers share this engine's cache (single venue, so
-    // the venue-local door ids cannot alias).
-    service_options.shared_cache = cache_;
     // Coalescing rides the same wiring: the whole batch is queued before
     // Start(), so workers pull full windows and the planner groups within
     // each pull.

@@ -197,19 +197,6 @@ class QueryEngine {
   // Combined footprint of the owned indexes.
   uint64_t IndexMemoryBytes() const;
 
-  // Cross-request distance cache (core/distance_cache.h). At construction
-  // the engine adopts the bundle's cache (nullptr when the bundle has
-  // none). EnableDistanceCache creates a private per-engine cache;
-  // SetDistanceCache shares an existing one (e.g. one cache per venue
-  // across many engines — engine::Service does this). Both rebuild the
-  // resident worker, so call them between queries, not concurrently with
-  // Run. RunBatch workers share the engine's cache.
-  void EnableDistanceCache(const DistanceCacheOptions& options = {});
-  void SetDistanceCache(std::shared_ptr<DistanceCache> cache);
-  const std::shared_ptr<DistanceCache>& distance_cache() const {
-    return cache_;
-  }
-
   // Answers one query on the engine's resident worker. Const but not
   // re-entrant: serialize Run/RunSequential calls, or use RunBatch for
   // concurrency.
@@ -246,16 +233,11 @@ class QueryEngine {
   struct Worker;
 
   Result Execute(const Query& query, Worker& worker) const;
-  void RebuildWorker();
 
   // The served state; every read goes through here. Object mutations go
   // through bundle_->live_objects(), which is internally synchronized, so
   // no separate mutable alias is needed.
   std::shared_ptr<const VenueBundle> bundle_;
-  // Shared, thread-safe memoization attached to every worker (resident
-  // and RunBatch-transient). Never null-checked on the hot path — the core
-  // engines handle nullptr themselves.
-  std::shared_ptr<DistanceCache> cache_;
   // Resident worker backing Run / RunSequential (RunBatch threads build
   // their own). Run re-pins the worker's object snapshot per query, which
   // is why Execute takes it non-const; Run stays const-but-not-reentrant,

@@ -103,11 +103,6 @@ Service::Service(VenueRegistry registry, ServiceOptions options)
       options_(options),
       num_threads_(ResolveThreadCount(options.num_threads)) {
   options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
-  // A shared cache cannot span venues: door/node ids are venue-local
-  // dense integers, so one cache would alias unrelated keys. Multi-venue
-  // services get per-venue caches via ServiceOptions::cache instead.
-  VIPTREE_CHECK_MSG(options_.shared_cache == nullptr,
-                    "shared_cache is only valid on a single-venue Service");
 }
 
 Service::~Service() { Stop(); }
@@ -503,9 +498,7 @@ QueryEngine* Service::ResolveEngine(
   // served it (eviction + re-Acquire hands out a fresh bundle); comparing
   // bundle addresses also releases this worker's pin on the evicted one.
   if (slot == nullptr || &slot->bundle() != bundle.get()) {
-    std::shared_ptr<DistanceCache> cache = CacheFor(venue_id, bundle);
     slot = std::make_unique<QueryEngine>(std::move(bundle));
-    if (cache != nullptr) slot->SetDistanceCache(std::move(cache));
   }
   // Honour the registry's residency cap here too: cached engines pin their
   // bundles, so once this worker's cache outgrows the cap, drop engines
@@ -523,32 +516,6 @@ QueryEngine* Service::ResolveEngine(
     }
   }
   return engines->at(venue_id).get();
-}
-
-std::shared_ptr<DistanceCache> Service::CacheFor(
-    const std::string& venue_id,
-    const std::shared_ptr<const VenueBundle>& bundle) {
-  if (options_.shared_cache != nullptr) return options_.shared_cache;
-  if (!options_.cache.enabled) return nullptr;
-  DistanceCacheOptions resolved = options_.cache;
-  if (resolved.capacity == 0) {
-    resolved.capacity = AdaptiveCacheCapacity(bundle->venue().NumDoors());
-  }
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  if (options_.cache_scope == ServiceOptions::CacheScope::kPerWorker) {
-    auto cache = std::make_shared<DistanceCache>(resolved);
-    worker_caches_.push_back(cache);
-    return cache;
-  }
-  VenueCache& entry = venue_caches_[venue_id];
-  if (entry.cache == nullptr || entry.bundle.lock() != bundle) {
-    // First touch, or the registry handed out a fresh bundle instance
-    // (eviction + reload): the snapshot file may have changed on disk, so
-    // start a clean cache rather than trust file identity.
-    entry.cache = std::make_shared<DistanceCache>(resolved);
-    entry.bundle = bundle;
-  }
-  return entry.cache;
 }
 
 void Service::Finalize(const std::shared_ptr<Ticket::State>& state,
@@ -641,19 +608,6 @@ ServiceStats Service::Stats() const {
   stats.queue_micros = Summarize(queue_samples_);
   stats.per_venue = per_venue_;
   stats.plan = plan_stats_;
-  {
-    std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    if (options_.shared_cache != nullptr) {
-      stats.cache += options_.shared_cache->Counters();
-    }
-    for (const auto& [venue, entry] : venue_caches_) {
-      (void)venue;
-      stats.cache += entry.cache->Counters();
-    }
-    for (const auto& cache : worker_caches_) {
-      stats.cache += cache->Counters();
-    }
-  }
   return stats;
 }
 

@@ -184,29 +184,6 @@ struct ServiceOptions {
   // immediately with kRejected instead of growing memory without limit.
   size_t queue_capacity = 1024;
 
-  // Cross-request distance caching (core/distance_cache.h). With
-  // cache.enabled the service creates caches and attaches them to the
-  // worker engines; Stats() aggregates their hit/miss/evict counters.
-  DistanceCacheOptions cache;
-  enum class CacheScope : uint8_t {
-    // One cache per venue, shared by every worker serving it (default:
-    // cross-worker reuse, contention only per shard). Replaced whenever
-    // the registry hands out a fresh bundle instance for the venue, so a
-    // re-loaded snapshot can never be answered from the old file's
-    // entries.
-    kSharedPerVenue,
-    // One private cache per (worker, venue) engine: zero lock contention,
-    // no cross-worker reuse. For measuring the sharing trade-off.
-    kPerWorker,
-  };
-  CacheScope cache_scope = CacheScope::kSharedPerVenue;
-  // A pre-existing cache every worker shares, taking precedence over
-  // `cache`. Single-venue services only (door ids are venue-local dense
-  // ints — one cache across venues would alias unrelated doors);
-  // QueryEngine::RunBatch uses this to hand its own cache to the
-  // transient service's workers.
-  std::shared_ptr<DistanceCache> shared_cache;
-
   // Execution-planner coalescing (engine/exec_plan.h): with
   // coalesce.enabled a worker pulls up to coalesce.window contiguous
   // same-venue queries from the queue front in one lock hold and answers
@@ -244,9 +221,6 @@ struct ServiceStats : BatchStats {
   // Distribution of Response::queue_micros over accepted requests.
   Summary queue_micros;
   std::map<std::string, VenueCounters> per_venue;
-  // Distance-cache counters summed over every cache this service created
-  // or was handed (all zero when caching is off).
-  CacheCounters cache;
   // BatchStats::plan (the execution planner's accounting) is inherited;
   // it aggregates across every coalesced group any worker ran.
 };
@@ -331,11 +305,6 @@ class Service {
       const std::string& venue_id,
       std::map<std::string, std::unique_ptr<QueryEngine>>* engines,
       std::string* error);
-  // The distance cache a fresh worker engine for (venue_id, bundle) should
-  // use, per options_ (nullptr = caching off). Thread-safe.
-  std::shared_ptr<DistanceCache> CacheFor(
-      const std::string& venue_id,
-      const std::shared_ptr<const VenueBundle>& bundle);
   // Admission-side input validation: everything the engine would CHECK or
   // index with must be range-checked here so untrusted requests fail with
   // kInvalidRequest instead of aborting a worker.
@@ -385,19 +354,6 @@ class Service {
   std::vector<double> update_samples_;
   std::map<std::string, VenueCounters> per_venue_;
   PlanStats plan_stats_;
-
-  // Distance caches handed to worker engines. Venue entries remember the
-  // bundle they were built against (weakly, so a cache never pins an
-  // evicted bundle) and are replaced when the registry hands out a fresh
-  // instance. Per-worker caches are kept strongly so Stats() still counts
-  // them after workers retire their engines.
-  mutable std::mutex cache_mu_;
-  struct VenueCache {
-    std::weak_ptr<const VenueBundle> bundle;
-    std::shared_ptr<DistanceCache> cache;
-  };
-  std::map<std::string, VenueCache> venue_caches_;
-  std::vector<std::shared_ptr<DistanceCache>> worker_caches_;
 };
 
 }  // namespace engine

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "core/distance_cache.h"
 #include "core/keyword_query.h"
 #include "core/live_objects.h"
 #include "core/object_index.h"
@@ -47,13 +46,6 @@ namespace engine {
 struct EngineOptions {
   IPTreeOptions tree;
   DistanceQueryOptions query;
-  // Cross-request distance cache (core/distance_cache.h). Off by default;
-  // when cache.enabled the bundle owns one cache that every engine over it
-  // shares. Not part of DistanceQueryOptions because that struct is
-  // serialized into snapshots — whether a host caches is a serving-time
-  // decision, not a property of the index (loaded bundles opt in through
-  // VenueBundle::EnableDistanceCache).
-  DistanceCacheOptions cache;
   // When non-empty, must align with the object set; enables kBooleanKnn.
   std::vector<std::vector<std::string>> object_keywords;
 };
@@ -172,19 +164,6 @@ class VenueBundle {
   // once touched.
   uint64_t IndexMemoryBytes() const;
 
-  // The bundle-owned distance cache, nullptr when caching is off. Shared
-  // by every QueryEngine adopting this bundle; the cache is internally
-  // thread-safe and exact, so sharing is free of coherence concerns.
-  const std::shared_ptr<DistanceCache>& distance_cache() const {
-    return cache_;
-  }
-
-  // Creates (or replaces) the bundle-owned cache — the opt-in for loaded
-  // snapshots, whose EngineOptions never existed. Replaces any previous
-  // cache; engines adopt it at construction, so enable before standing up
-  // engines. options.enabled is ignored here (calling *is* enabling).
-  void EnableDistanceCache(const DistanceCacheOptions& options = {});
-
  private:
   VenueBundle() = default;
 
@@ -200,7 +179,6 @@ class VenueBundle {
   std::unique_ptr<D2DGraph> graph_;
   std::unique_ptr<VIPTree> tree_;
   std::unique_ptr<LiveObjectIndex> live_;
-  std::shared_ptr<DistanceCache> cache_;
   DistanceQueryOptions query_options_;
 };
 

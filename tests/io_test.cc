@@ -403,6 +403,59 @@ TEST_F(SnapshotRejectionTest, ImplausibleSectionCountIsRejected) {
   ExpectRejected(bytes, "section count");
 }
 
+// A CRC-valid snapshot whose tree contradicts itself: one access door of a
+// node is dropped from its parent's matrix_doors, with the parent's
+// matrices shrunk to match so every shape check still passes. Deriving
+// the access-door index maps would place that door at row -1; the load
+// must refuse the file instead.
+TEST_F(SnapshotRejectionTest, AccessDoorMissingFromParentMatrixIsRejected) {
+  const std::string path = TempPath("inconsistent_tree");
+  ASSERT_TRUE(io::WriteFileBytes(path, *bytes_).ok());
+  io::Snapshot snapshot;
+  ASSERT_TRUE(io::ReadSnapshotFile(path, &snapshot).ok());
+  std::vector<TreeNode>& nodes = snapshot.tree.nodes;
+  // A door interior to some parent: an access door of the child that is
+  // not one of the parent's own (so only the child's lookup can miss).
+  NodeId parent = kInvalidId;
+  int drop = -1;
+  for (const TreeNode& node : nodes) {
+    if (node.parent == kInvalidId) continue;
+    const TreeNode& p = nodes[node.parent];
+    for (DoorId a : node.access_doors) {
+      if (IPTree::IndexOf(p.access_doors, a) < 0) {
+        parent = p.id;
+        drop = IPTree::IndexOf(p.matrix_doors, a);
+        break;
+      }
+    }
+    if (parent != kInvalidId) break;
+  }
+  ASSERT_NE(parent, kInvalidId);
+  ASSERT_GE(drop, 0);
+  TreeNode& p = nodes[parent];
+  const size_t m = p.matrix_doors.size();
+  std::vector<float> dist;
+  std::vector<DoorId> hop;
+  for (size_t r = 0; r < m; ++r) {
+    for (size_t c = 0; c < m; ++c) {
+      if (r == static_cast<size_t>(drop) || c == static_cast<size_t>(drop)) {
+        continue;
+      }
+      dist.push_back(p.dist.at(r, c));
+      hop.push_back(p.next_hop.at(r, c));
+    }
+  }
+  p.matrix_doors.erase(p.matrix_doors.begin() + drop);
+  p.dist = FlatMatrix<float>(m - 1, m - 1, std::move(dist));
+  p.next_hop = FlatMatrix<DoorId>(m - 1, m - 1, std::move(hop));
+  ASSERT_TRUE(io::WriteSnapshotFile(path, snapshot).ok());
+  std::string error;
+  EXPECT_FALSE(eng::VenueBundle::TryLoad(path, &error).has_value());
+  EXPECT_NE(error.find("missing from its parent matrix"), std::string::npos)
+      << "error was: " << error;
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Randomized region-targeted fuzz. The deterministic sweeps above probe
 // fixed offsets; this parses the v2 TOC of the saved snapshot and, per

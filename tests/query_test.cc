@@ -113,6 +113,38 @@ TEST_F(PaperQueryTest, AllDoorPairPathsAreConsistent) {
   }
 }
 
+// Regression for the LCA index lookups in the DoorDistance join loops:
+// doors on leaf boundaries appear in the access-door lists of more than
+// one leaf, and a bad index there used to read a wrong matrix row
+// silently. Sweep every door pair of multi-leaf random venues through
+// both engines against Dijkstra ground truth.
+TEST(DoorDistanceTest, MultiLeafBoundaryDoorDistances) {
+  // Seeds chosen for small multi-leaf venues (2-4 leaves, ~20 doors), so
+  // the all-pairs sweep is cheap but boundary doors genuinely span leaves.
+  for (uint64_t seed : {10u, 21u}) {
+    const Venue venue = testing::RandomSynthVenue(seed);
+    const D2DGraph graph(venue);
+    const IPTree tree = IPTree::Build(venue, graph, {.min_degree = 2});
+    const VIPTree vip = VIPTree::Build(venue, graph, {.min_degree = 2});
+    ASSERT_GT(tree.num_leaves(), 1u) << "seed " << seed;
+    const IPDistanceQuery ip(tree);
+    const VIPDistanceQuery vip_query(vip);
+    DijkstraEngine dijkstra(graph);
+    const DoorId num_doors = static_cast<DoorId>(venue.NumDoors());
+    for (DoorId s = 0; s < num_doors; ++s) {
+      dijkstra.Start(s);
+      dijkstra.RunAll();
+      for (DoorId t = 0; t < num_doors; ++t) {
+        const double expected = dijkstra.DistanceTo(t);
+        EXPECT_NEAR(ip.DoorDistance(s, t), expected, 1e-4)
+            << "IP seed " << seed << " " << s << "->" << t;
+        EXPECT_NEAR(vip_query.DoorDistance(s, t), expected, 1e-4)
+            << "VIP seed " << seed << " " << s << "->" << t;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Property tests on generated venues.
 // ---------------------------------------------------------------------------

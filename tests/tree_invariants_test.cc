@@ -1,17 +1,24 @@
 // Structural invariants of the IP-Tree across a parameterized sweep of
 // venue shapes and minimum degrees — the properties the §3 algorithms rely
 // on (access-door nesting, matrix door sets, next-hop consistency, DFS
-// interval partitioning, superior-door definition). Two sweeps share the
+// interval partitioning, superior-door definition, derived access-door
+// index maps). Two sweeps share the
 // suite: four hand-picked venue shapes, and randomized synthetic venues
 // drawn from seeds (the same generator the differential tests use).
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/ip_tree.h"
+#include "engine/venue_bundle.h"
 #include "graph/dijkstra.h"
 #include "ground_truth.h"
 #include "synth/building_generator.h"
@@ -245,6 +252,53 @@ TEST_P(TreeInvariantTest, AccessDoorCountsStaySmall) {
   // indoor regions connect through few doors.
   const IPTree::Stats stats = tree_.ComputeStats();
   EXPECT_LT(stats.avg_access_doors, 16.0);
+}
+
+// Every derived access-door index map equals a binary search over the
+// same door lists.
+void ExpectIndexMapsMatchSearch(const IPTree& tree) {
+  for (const TreeNode& n : tree.nodes()) {
+    if (n.is_leaf()) continue;
+    std::vector<NodeId> mapped = n.children;
+    mapped.push_back(n.id);
+    for (NodeId m : mapped) {
+      const Span<const int32_t> map = tree.AccessDoorIndexMap(n.id, m);
+      const std::vector<DoorId>& ad = tree.node(m).access_doors;
+      ASSERT_EQ(map.size(), ad.size()) << "node " << n.id << " map " << m;
+      for (size_t i = 0; i < ad.size(); ++i) {
+        EXPECT_EQ(map[i], IPTree::IndexOf(n.matrix_doors, ad[i]))
+            << "node " << n.id << " map " << m << " door " << ad[i];
+      }
+    }
+  }
+}
+
+TEST_P(TreeInvariantTest, DerivedIndexMapsMatchBinarySearch) {
+  ExpectIndexMapsMatchSearch(tree_);
+  // The maps are not serialized: a zero-copy v2 load derives them again
+  // from the mapped door lists and must arrive at the same positions.
+  const char* dir = std::getenv("TMPDIR");
+  if (dir == nullptr || dir[0] == '\0') dir = "/tmp";
+  const std::string path = std::string(dir) + "/viptree_tree_invariants_" +
+                           std::to_string(::getpid()) + ".vipsnap";
+  engine::EngineOptions options;
+  options.tree.min_degree = GetParam().min_degree;
+  ASSERT_TRUE(engine::VenueBundle::BuildFrom(venue_, graph_, {}, options)
+                  .Save(path)
+                  .ok());
+  std::string error;
+  const std::optional<engine::VenueBundle> loaded =
+      engine::VenueBundle::TryLoad(path, &error);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_TRUE(loaded->zero_copy());
+  const IPTree& reloaded = loaded->tree().base();
+  ASSERT_EQ(reloaded.nodes().size(), tree_.nodes().size());
+  for (const TreeNode& n : tree_.nodes()) {
+    EXPECT_EQ(reloaded.node(n.id).access_doors, n.access_doors);
+    EXPECT_EQ(reloaded.node(n.id).matrix_doors, n.matrix_doors);
+  }
+  ExpectIndexMapsMatchSearch(reloaded);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/distance_cache.h"
 #include "core/live_objects.h"
 #include "engine/query_engine.h"
 #include "engine/service.h"
@@ -32,14 +31,13 @@ namespace eng = ::viptree::engine;
 
 constexpr size_t kInitialObjects = 12;
 
-std::shared_ptr<const eng::VenueBundle> MakeBundle(
-    uint64_t seed, eng::EngineOptions options = {}) {
+std::shared_ptr<const eng::VenueBundle> MakeBundle(uint64_t seed) {
   Venue venue = testing::RandomSynthVenue(seed);
   Rng rng(seed ^ 0xB0B);
   std::vector<IndoorPoint> objects =
       synth::PlaceObjects(venue, kInitialObjects, rng);
   return std::make_shared<const eng::VenueBundle>(eng::VenueBundle::Build(
-      std::move(venue), std::move(objects), std::move(options)));
+      std::move(venue), std::move(objects)));
 }
 
 // A writer that publishes `publishes` single-move deltas over the initial
@@ -247,76 +245,6 @@ TEST(UpdateStressTest, ConcurrentWritersSerializeCleanly) {
     EXPECT_EQ(actual.position.x, final_position[id].position.x)
         << "id " << id;
   }
-}
-
-// Cache contention: every reader engine shares the bundle's one
-// DistanceCache (small capacity + few shards to maximize lock and
-// eviction contention) while a writer churns object epochs at full rate.
-// Distance answers are epoch-independent, so each reader can check its
-// own cached distance queries for exact self-consistency while kNN churns
-// the snapshot underneath; TSan (ctest -L update / -L cache) watches the
-// shard locks and policy lists.
-TEST(UpdateStressTest, ReadersShareCacheUnderWriterChurn) {
-  eng::EngineOptions bundle_options;
-  bundle_options.cache.enabled = true;
-  bundle_options.cache.capacity = 128;  // heavy eviction pressure
-  bundle_options.cache.shards = 2;
-  bundle_options.cache.policy = CachePolicy::k2Q;
-  const std::shared_ptr<const eng::VenueBundle> bundle =
-      MakeBundle(29, bundle_options);
-  ASSERT_NE(bundle->distance_cache(), nullptr);
-  std::atomic<bool> done{false};
-
-  std::vector<std::thread> readers;
-  for (size_t r = 0; r < 4; ++r) {
-    readers.emplace_back([bundle, r, &done] {
-      const eng::QueryEngine engine(bundle);
-      ASSERT_EQ(engine.distance_cache(), bundle->distance_cache());
-      Rng rng(0xCAC4E ^ r);
-      // A small pool of repeated endpoints so this reader both hits
-      // entries other readers inserted and races them on inserts.
-      std::vector<IndoorPoint> pool;
-      for (int i = 0; i < 8; ++i) {
-        pool.push_back(synth::RandomIndoorPoint(bundle->venue(), rng));
-      }
-      std::vector<double> first_answer(pool.size() * pool.size(),
-                                       kInfDistance);
-      bool final_pass = false;
-      while (!final_pass) {
-        final_pass = done.load(std::memory_order_acquire);
-        const size_t i = rng.UniformIndex(pool.size());
-        const size_t j = rng.UniformIndex(pool.size());
-        const double d =
-            engine.Run(eng::Query::Distance(pool[i], pool[j])).distance;
-        // The tree is immutable, so repeats of the same pair must agree
-        // exactly no matter which thread populated the cache entry or
-        // whether it was evicted and recomputed in between.
-        double& seen = first_answer[i * pool.size() + j];
-        if (seen == kInfDistance) {
-          seen = d;
-        } else {
-          ASSERT_EQ(d, seen) << "cached distance drifted under churn";
-        }
-        const auto knn =
-            engine.Run(eng::Query::Knn(pool[i], 3)).objects;
-        ASSERT_EQ(knn.size(), std::min<size_t>(3, kInitialObjects));
-        for (size_t k = 1; k < knn.size(); ++k) {
-          ASSERT_LE(knn[k - 1].distance, knn[k].distance);
-        }
-      }
-    });
-  }
-
-  std::thread writer(
-      [&] { MoveWriter(*bundle, 29, /*publishes=*/250, &done); });
-  writer.join();
-  for (std::thread& t : readers) t.join();
-
-  const CacheCounters counters = bundle->distance_cache()->Counters();
-  EXPECT_GT(counters.lookups(), 0u);
-  EXPECT_EQ(counters.hits + counters.misses, counters.lookups());
-  EXPECT_LE(bundle->distance_cache()->Size(), bundle_options.cache.capacity);
-  EXPECT_EQ(bundle->live_objects().epoch(), 251u);
 }
 
 // Drain with a mixed query/update stream in flight: every ticket reaches

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Records the standard benchmark quartet — bench_distance_cache,
-# bench_city_scale, bench_coalesce, bench_net_throughput — into a single
+# Records the standard benchmark trio — bench_city_scale, bench_coalesce,
+# bench_net_throughput — into a single
 # machine-readable BENCH_10.json at the repo root (or at $1 if given).
 #
 # The benches themselves are plain printf programs, so this script owns the
@@ -21,7 +21,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build}"
 OUT="${1:-$ROOT/BENCH_10.json}"
 
-BENCHES=(bench_distance_cache bench_city_scale bench_coalesce bench_net_throughput)
+BENCHES=(bench_city_scale bench_coalesce bench_net_throughput)
 for b in "${BENCHES[@]}"; do
   if [ ! -x "$BUILD/$b" ]; then
     echo "record_bench: missing $BUILD/$b — build first:" >&2

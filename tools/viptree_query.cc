@@ -51,7 +51,6 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
-#include "core/distance_cache.h"
 #include "engine/query_engine.h"
 #include "engine/service.h"
 #include "engine/venue_registry.h"
@@ -83,11 +82,6 @@ struct Args {
   size_t threads = 1;
   uint64_t seed = 0xC0FFEE;
   std::string mix = "mixed";  // mixed | distance | path | knn | range
-  // Cross-request distance cache (core/distance_cache.h). Off by default:
-  // the cache only pays off on workloads that repeat door pairs.
-  bool cache = false;
-  CachePolicy cache_policy = CachePolicy::kLru;
-  size_t cache_capacity = DistanceCacheOptions{}.capacity;
   // Execution-planner coalescing (engine/exec_plan.h). Off by default:
   // batch mode forwards it to RunBatch, serve mode to the Service workers.
   bool coalesce = false;
@@ -100,15 +94,13 @@ void Usage(const char* argv0) {
       "usage: %s (--snapshot PATH | --registry MANIFEST --venue ID)\n"
       "          [--queries N] [--threads T] [--seed S]\n"
       "          [--mix mixed|distance|path|knn|range]\n"
-      "          [--cache] [--cache-policy lru|2q|s2q] [--cache-capacity N]\n"
       "          [--coalesce] [--coalesce-window K]\n"
       "          [--emit-workload [--updates U]]\n"
       "       %s (--snapshot PATH | --registry MANIFEST) --serve\n"
       "          [--input FILE] [--threads T] [--deadline-ms D]\n"
-      "          [--queue-capacity C] [--cache] [--cache-policy P]\n"
-      "          [--cache-capacity N] [--coalesce] [--coalesce-window K]\n"
+      "          [--queue-capacity C] [--coalesce] [--coalesce-window K]\n"
       "       %s (--snapshot PATH | --registry MANIFEST) --listen PORT\n"
-      "          [--threads T] [--queue-capacity C] [--cache] [--coalesce]\n"
+      "          [--threads T] [--queue-capacity C] [--coalesce]\n"
       "       %s --connect HOST:PORT [--input FILE] [--deadline-ms D]\n"
       "       %s --registry MANIFEST --list-venues\n"
       "\n"
@@ -127,15 +119,11 @@ void Usage(const char* argv0) {
       "line format; --updates U interleaves U update lines). The mixed\n"
       "workload is 40%% distance, 20%% path, 20%% kNN, 10%% range and\n"
       "10%% boolean keyword kNN (keyword queries fall back to kNN when\n"
-      "the snapshot has no keyword index). --cache turns on the exact\n"
-      "cross-request door-pair distance cache (results are bit-identical\n"
-      "with and without it); --cache-policy picks the eviction policy;\n"
-      "--cache-capacity 0 (default) sizes the cache from the venue's\n"
-      "door count. --coalesce turns on the execution planner: workers\n"
-      "pull up to --coalesce-window K (default %zu) queued same-venue\n"
-      "queries into one group and share their source ascents through the\n"
-      "multi-target kernels — results stay bit-identical to sequential\n"
-      "execution.\n",
+      "the snapshot has no keyword index). --coalesce turns on the\n"
+      "execution planner: workers pull up to --coalesce-window K\n"
+      "(default %zu) queued same-venue queries into one group and share\n"
+      "their source ascents through the multi-target kernels — results\n"
+      "stay bit-identical to sequential execution.\n",
       argv0, argv0, argv0, argv0, argv0, eng::CoalesceOptions{}.window);
 }
 
@@ -201,20 +189,6 @@ bool Parse(int argc, char** argv, Args* args) {
     } else if (flag == "--mix") {
       if ((v = value()) == nullptr) return false;
       args->mix = v;
-    } else if (flag == "--cache") {
-      args->cache = true;
-    } else if (flag == "--cache-policy") {
-      if ((v = value()) == nullptr) return false;
-      if (!ParseCachePolicy(v, &args->cache_policy)) {
-        std::fprintf(stderr, "%s: unknown --cache-policy '%s' "
-                     "(expected lru, 2q or s2q)\n", argv[0], v);
-        return false;
-      }
-      args->cache = true;  // naming a policy implies --cache
-    } else if (flag == "--cache-capacity") {
-      if ((v = value()) == nullptr) return false;
-      args->cache_capacity = static_cast<size_t>(std::atol(v));
-      args->cache = true;
     } else if (flag == "--coalesce") {
       args->coalesce = true;
     } else if (flag == "--coalesce-window") {
@@ -292,14 +266,6 @@ bool Parse(int argc, char** argv, Args* args) {
   return true;
 }
 
-DistanceCacheOptions CacheOptionsFrom(const Args& args) {
-  DistanceCacheOptions options;
-  options.enabled = args.cache;
-  options.policy = args.cache_policy;
-  options.capacity = args.cache_capacity;
-  return options;
-}
-
 eng::CoalesceOptions CoalesceOptionsFrom(const Args& args) {
   eng::CoalesceOptions options;
   options.enabled = args.coalesce;
@@ -354,16 +320,6 @@ void PrintPlanStats(const eng::PlanStats& plan) {
     }
   }
   std::printf("\n");
-}
-
-void PrintCacheStats(const CacheCounters& cache, CachePolicy policy) {
-  std::printf("  cache (%s)    %llu hits, %llu misses (%.1f%% hit rate), "
-              "%llu evictions\n",
-              CachePolicyName(policy),
-              static_cast<unsigned long long>(cache.hits),
-              static_cast<unsigned long long>(cache.misses),
-              100.0 * cache.hit_rate(),
-              static_cast<unsigned long long>(cache.evictions));
 }
 
 std::vector<eng::Query> MakeWorkload(const eng::QueryEngine& engine,
@@ -470,7 +426,6 @@ int ServeMain(const Args& args, std::optional<eng::VenueRegistry> registry) {
   eng::ServiceOptions options;
   options.num_threads = args.threads;
   options.queue_capacity = args.queue_capacity;
-  options.cache = CacheOptionsFrom(args);
   options.coalesce = CoalesceOptionsFrom(args);
 
   std::unique_ptr<eng::Service> service;
@@ -570,7 +525,6 @@ int ServeMain(const Args& args, std::optional<eng::VenueRegistry> registry) {
   if (stats.updates > 0) {
     std::printf("  update p99    %10.2f us\n", stats.update_micros.p99);
   }
-  if (args.cache) PrintCacheStats(stats.cache, args.cache_policy);
   if (args.coalesce) PrintPlanStats(stats.plan);
   for (const auto& [venue_id, counters] : stats.per_venue) {
     std::printf("  venue %-12s %llu ok, %llu updates, %llu expired, "
@@ -607,7 +561,6 @@ int ListenMain(const Args& args, std::optional<eng::VenueRegistry> registry) {
   options.port = static_cast<uint16_t>(args.listen_port);
   options.service.num_threads = args.threads;
   options.service.queue_capacity = args.queue_capacity;
-  options.service.cache = CacheOptionsFrom(args);
   options.service.coalesce = CoalesceOptionsFrom(args);
 
   std::unique_ptr<net::ShardServer> server;
@@ -854,7 +807,6 @@ int main(int argc, char** argv) {
     }
     zero_copy = engine->bundle().zero_copy();
   }
-  if (args.cache) engine->EnableDistanceCache(CacheOptionsFrom(args));
 
   if (args.emit_workload) {
     // Registry-mode lines carry the venue column --serve expects.
@@ -895,8 +847,5 @@ int main(int argc, char** argv) {
   std::printf("  visited nodes %10llu\n",
               static_cast<unsigned long long>(stats.visited_nodes));
   if (args.coalesce) PrintPlanStats(stats.plan);
-  if (args.cache) {
-    PrintCacheStats(engine->distance_cache()->Counters(), args.cache_policy);
-  }
   return 0;
 }
